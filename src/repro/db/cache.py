@@ -8,10 +8,15 @@ literals were collapsed into the default bucket, so entries stay valid when
 literal sets differ across claims or EM iterations. Each entry remembers the
 literals it has cells for; a lookup that needs an uncovered literal is a
 miss, and the refreshed entry merges in the new cells.
+
+For the NumPy cell-gather kernel an entry also builds, on first use, an
+index of entry-local value ids over its cells (:class:`CellIndex`);
+merging new cells drops it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.db.aggregates import AggregateFunction
@@ -39,6 +44,13 @@ class CacheEntry:
     dimensions: tuple[ColumnRef, ...]
     literals: dict[ColumnRef, set[str]]
     cells: dict[CellKey, Value]
+    _index: "CellIndex | None" = field(default=None, repr=False, compare=False)
+
+    def cell_index(self) -> "CellIndex":
+        """The value-id index over :attr:`cells` (built on first use)."""
+        if self._index is None:
+            self._index = CellIndex(self.cells)
+        return self._index
 
     def empty_value(self) -> Value:
         """Value of a cell for an empty group under this entry's spec."""
@@ -64,6 +76,44 @@ class CacheEntry:
         for dim, literals in literal_map.items():
             self.literals.setdefault(dim, set()).update(literals)
         self.cells.update(cells)
+        self._index = None
+
+
+def _exact_key(value: Value) -> tuple:
+    """Interning key telling apart every value the cells can tell apart:
+    ``3`` from ``3.0`` (type) and ``0.0`` from ``-0.0`` (sign)."""
+    cls = value.__class__
+    if cls is float and value == 0.0:
+        return (cls, value, math.copysign(1.0, value))
+    return (cls, value)
+
+
+class CellIndex:
+    """Entry-local value ids over one entry's cells, for array gathers.
+
+    ``values`` holds one object per distinct cell value (told apart by
+    :func:`_exact_key`) and ``local_ids`` maps each cell key to its value's
+    position there, so a gather derives and interns each distinct value
+    once instead of once per candidate subset. It holds only the cells
+    that exist (never a dense grid over the literal sets). Keys stay
+    tuples: one gather probes a claim's few dozen subsets per aggregate
+    (median 18 on the labelled corpus), where a dict probe costs less than
+    the fixed per-call cost of a sorted-code ``searchsorted`` lookup.
+    """
+
+    __slots__ = ("local_ids", "values")
+
+    def __init__(self, cells: dict[CellKey, Value]) -> None:
+        self.values: list[Value] = []
+        self.local_ids: dict[CellKey, int] = {}
+        local: dict[tuple, int] = {}
+        for key, value in cells.items():
+            exact = _exact_key(value)
+            lid = local.get(exact)
+            if lid is None:
+                lid = local[exact] = len(self.values)
+                self.values.append(value)
+            self.local_ids[key] = lid
 
 
 @dataclass

@@ -51,6 +51,9 @@ from repro.db.values import (
 )
 from repro.errors import JoinPathError, QueryError
 
+#: Ints below this magnitude survive a float64 round trip exactly.
+_EXACT_INT = 1 << 53
+
 
 def numpy_available() -> bool:
     """True when the vectorized kernels can run (used by benchmarks/tests)."""
@@ -84,7 +87,9 @@ class ColumnDictionary:
     normalized string coerce identically, modulo the ``inf`` caveat above).
     """
 
-    __slots__ = ("values", "index", "numbers", "_numbers_arr", "_numeric_arr")
+    __slots__ = (
+        "values", "index", "numbers", "_numbers_arr", "_numeric_arr", "_integral"
+    )
 
     def __init__(self) -> None:
         self.values: list[str] = [""]
@@ -92,6 +97,7 @@ class ColumnDictionary:
         self.numbers: list[float | int | None] = [None]
         self._numbers_arr = None
         self._numeric_arr = None
+        self._integral = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -106,6 +112,7 @@ class ColumnDictionary:
             self.numbers.append(coerce_number(cell))
             self._numbers_arr = None
             self._numeric_arr = None
+            self._integral = None
         return code
 
     def code_of(self, normalized: str) -> int | None:
@@ -121,6 +128,20 @@ class ColumnDictionary:
                 dtype=_np.float64,
             )
         return self._numbers_arr
+
+    @property
+    def integral(self) -> bool:
+        """Is every number of the column an int that float64 holds exactly?
+
+        Min/Max then return ``int`` like the row-wise oracle (which keeps
+        the coerced cell) instead of the float their array kernels yield.
+        """
+        if self._integral is None:
+            self._integral = all(
+                n is None or (type(n) is int and -_EXACT_INT < n < _EXACT_INT)
+                for n in self.numbers
+            )
+        return self._integral
 
     @property
     def numeric_arr(self):
@@ -501,9 +522,9 @@ def execute_columnar_query(relation: ColumnarRelation, query) -> Value:
         if fn is AggregateFunction.AVG:
             return float(values.sum()) / len(values)
         if fn is AggregateFunction.MIN:
-            return float(values.min())
+            return _extreme(values.min(), vector.dictionary.integral)
         if fn is AggregateFunction.MAX:
-            return float(values.max())
+            return _extreme(values.max(), vector.dictionary.integral)
         raise QueryError(f"unsupported aggregate {fn}")
     numbers = vector.dictionary.numbers
     values = [numbers[c] for c in codes if numbers[c] is not None]
@@ -514,10 +535,15 @@ def execute_columnar_query(relation: ColumnarRelation, query) -> Value:
     if fn is AggregateFunction.AVG:
         return float(sum(values)) / len(values)
     if fn is AggregateFunction.MIN:
-        return float(min(values))
+        return _extreme(min(values), vector.dictionary.integral)
     if fn is AggregateFunction.MAX:
-        return float(max(values))
+        return _extreme(max(values), vector.dictionary.integral)
     raise QueryError(f"unsupported aggregate {fn}")
+
+
+def _extreme(value, integral: bool) -> Value:
+    """A Min/Max result typed like the row-wise oracle's for the column."""
+    return int(value) if integral else float(value)
 
 
 # ----------------------------------------------------------------------
@@ -533,9 +559,13 @@ class _GroupAcc:
     finalization.
     """
 
-    __slots__ = ("rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
+    __slots__ = (
+        "rows", "count", "total", "ncount", "minimum", "maximum", "distinct",
+        "integral",
+    )
 
-    def __init__(self, track_distinct: bool) -> None:
+    def __init__(self, track_distinct: bool, integral: bool) -> None:
+        self.integral = integral
         self.rows = 0
         self.count = 0
         self.total = 0.0
@@ -593,9 +623,9 @@ class _GroupAcc:
             # Divide by the numeric count (matches compute_plain).
             return float(self.total) / int(self.ncount)
         if fn is AggregateFunction.MIN:
-            return float(self.minimum)
+            return _extreme(self.minimum, self.integral)
         if fn is AggregateFunction.MAX:
-            return float(self.maximum)
+            return _extreme(self.maximum, self.integral)
         raise QueryError(f"unsupported basis aggregate {fn}")
 
 
@@ -781,6 +811,10 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
         for key in bundle_keys
     ]
     track_distinct = [key in needs_distinct for key in bundle_keys]
+    integral = [
+        key is not None and relation.vector(key).dictionary.integral
+        for key in bundle_keys
+    ]
 
     # Phase 2: roll up to every subset of dimensions (mirrors row-wise).
     n_dims = len(cube.dimensions)
@@ -796,7 +830,10 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
             )
             accs = rolled.get(key)
             if accs is None:
-                accs = [_GroupAcc(track) for track in track_distinct]
+                accs = [
+                    _GroupAcc(track, whole)
+                    for track, whole in zip(track_distinct, integral)
+                ]
                 rolled[key] = accs
             for acc, bundle in zip(accs, bundles):
                 acc.absorb(bundle, group)

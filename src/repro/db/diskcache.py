@@ -60,9 +60,11 @@ from repro.db.schema import Database
 from repro.db.values import Value
 from repro.errors import InjectedFault
 
-#: Bump when the on-disk payload layout changes; old entries become
-#: unreachable (different file names) instead of unreadable.
-CACHE_FORMAT_VERSION = 2
+#: Bump when the on-disk payload layout or the cell values an adapter
+#: computes change; old entries become unreachable (different file names)
+#: instead of unreadable or stale. v3: columnar Min/Max of all-integer
+#: columns are ints, no longer floats.
+CACHE_FORMAT_VERSION = 3
 
 #: File preamble: magic tag, then a big-endian CRC32 of the pickled
 #: payload that follows. The magic catches scribbles and foreign files;

@@ -517,9 +517,14 @@ class QueryEngine:
         dims_groups: dict[frozenset[ColumnRef], list] = {}
         for request, positions, encoding in slices:
             subset_ids = request.space.subset_index[positions]
+            # Column sets in order of first use over ascending subsets.
+            colset_order = dict.fromkeys(
+                as_int_list(
+                    encoding.subset_colset_id[unique_values(subset_ids)]
+                )
+            )
             dims_of = {
-                si: assignment[encoding.subset_col_sets[si]]
-                for si in unique_values(subset_ids)
+                c: assignment[encoding.col_sets[c]] for c in colset_order
             }
             distinct = list(dict.fromkeys(dims_of.values()))
             if len(distinct) == 1:
@@ -528,9 +533,11 @@ class QueryEngine:
                 )
                 continue
             dim_id_of = {dims: index for index, dims in enumerate(distinct)}
-            subset_dim = {si: dim_id_of[dims] for si, dims in dims_of.items()}
+            colset_dim = {c: dim_id_of[dims] for c, dims in dims_of.items()}
             candidate_dim = map_ints(
-                subset_ids, subset_dim, len(request.space.subsets)
+                encoding.subset_colset_id[subset_ids],
+                colset_dim,
+                len(encoding.col_sets),
             )
             for dims in distinct:
                 sub_positions = select_where(

@@ -10,21 +10,28 @@ whole cross product" extends naturally to the answering side, because a
 candidate's cell key depends only on its predicate subset, not on the
 (function x column x subset) triple itself.
 
-Per (tables, dims, spec) group the kernels therefore:
+Per call (one claim's candidates over one base relation and one cube
+dimension set) the NumPy kernel:
 
-1. build one cube cell key per *distinct predicate subset* used in the
-   group (``SpaceEncoding.cell_key`` reads the per-dimension literal-code
-   matrix computed at ``build_candidates`` time),
-2. look every subset key up in the cached cell table exactly once,
-   interning the resulting value into a compact per-space
-   :class:`ValueTable`,
-3. fan the per-subset value ids out to all candidates with one integer
-   gather (NumPy fancy indexing, with a pure-Python fallback mirroring
-   :mod:`repro.db.columnar`).
+1. builds one cube cell key per *distinct predicate subset* used
+   (``SpaceEncoding.cell_keys``, one predicate column at a time from the
+   literal-code matrix computed at ``build_candidates`` time),
+2. probes each basis aggregate's entry index
+   (:meth:`~repro.db.cache.CacheEntry.cell_index`: cell key -> entry-local
+   value id) once per subset — cells with equal values share an id,
+3. collapses the candidates with ``np.unique`` to distinct (spec, kind,
+   subset, condition) events and those to distinct *value codes* — a
+   plain cell, a percentage numerator, a (numerator, denominator) pair —
+   so each distinct value is derived and interned into the per-space
+   :class:`ValueTable` once, in the order a per-candidate loop would
+   intern it (which decides the representative of equal values),
+4. fans the value ids out to all candidates with two integer gathers.
 
-Ratio functions become two lookups plus a division per *distinct*
-(numerator, denominator) pair: Percentage divides by the all-``ALL``
-cell, Conditional Probability by the condition-only cell.
+Ratio functions thus cost one division per distinct (numerator,
+denominator) value pair: Percentage divides by the all-``ALL`` cell,
+Conditional Probability by the condition-only cell. Without NumPy,
+:func:`_answer_python` walks the candidates with per-subset dict
+lookups and memoized interning.
 
 Results live in :class:`SpaceResults`: an ``int32`` value-id per
 candidate (-1 = not evaluated) plus the value table — the array currency
@@ -239,88 +246,86 @@ def answer_candidates(
 def _answer_numpy(results, space, positions, dims, entries) -> None:
     enc = space.encoding()
     positions = _np.asarray(positions)
-    value_ids = results.value_ids
-    table = results.table
-
-    subset_ids = _np.asarray(space.subset_index)[positions]
+    if len(positions) == 0:
+        return
+    subset_ids = space.subset_index[positions]
     used, sub_inv = _np.unique(subset_ids, return_inverse=True)
-    keys = [enc.cell_key(int(s), dims) for s in used]
+    keys = enc.cell_keys(used, dims)
+    specs, spec_row = _np.unique(
+        enc.basis_spec_id[positions], return_inverse=True
+    )
+    kinds = enc.fn_kind[space.fn_index[positions]].astype(_np.int64)
+    cond_ids = enc.cond_pair_id[positions]
+    pairs = _np.unique(cond_ids[kinds == KIND_CONDITIONAL])
+    pair_keys = [enc.cond_key(p, dims) for p in pairs.tolist()]
+    all_key = tuple(_all_key(dims))
 
-    spec_ids = _np.asarray(enc.basis_spec_id)[positions]
-    kinds = _np.asarray(enc.fn_kind)[_np.asarray(space.fn_index)[positions]]
-    cond_ids = _np.asarray(enc.cond_pair_id)[positions]
+    # Every spec's distinct cell values (entry-local ids, then the
+    # empty-group value) in one list: a global id is offset + local id.
+    # Per spec and subset (and condition pair) one dict probe gives it.
+    values: list[Value] = []
+    subset_gid: list[list[int]] = []
+    pair_gid: list[list[int]] = []
+    pct_den: list[int] = []  # per global id: its spec's all-ALL cell
+    for spec_local in specs.tolist():
+        entry = entries[enc.basis_specs[spec_local]]
+        index = entry.cell_index()
+        base = len(values)
+        missing = len(index.values)  # entry-local id of the empty-group value
+        get = index.local_ids.get
+        values.extend(index.values)
+        values.append(entry.empty_value())
+        subset_gid.append([base + get(key, missing) for key in keys])
+        pair_gid.append([base + get(key, missing) for key in pair_keys])
+        pct_den.extend([base + get(all_key, missing)] * (missing + 1))
+    n_values = len(values)
 
-    unique_specs = _np.unique(spec_ids)
-    for spec_local in unique_specs:
-        spec = enc.basis_specs[int(spec_local)]
-        entry = entries[spec]
-        cells_get = entry.cells.get
-        empty = entry.empty_value()
-        if len(unique_specs) == 1:
-            sub_sel = sub_inv
-            kind_sel = kinds
-            pos_sel = positions
-            pair_all = cond_ids
+    # Distinct (spec, kind, subset, condition) events in the order the
+    # per-candidate loop interned them: spec by spec; plain, percentage,
+    # then conditional; ascending subset, then condition.
+    n_pairs = max(len(pairs), 1)
+    pair_pos = _np.searchsorted(pairs, cond_ids) if len(pairs) else 0
+    pair_pos = _np.where(kinds == KIND_CONDITIONAL, pair_pos, 0)
+    event_key = (
+        (spec_row.astype(_np.int64) * 3 + kinds) * len(used) + sub_inv
+    ) * n_pairs + pair_pos
+    events, event_inv = _np.unique(event_key, return_inverse=True)
+    event_pair = events % n_pairs
+    rest = events // n_pairs
+    event_sub = rest % len(used)
+    rest //= len(used)
+    event_kind = rest % 3
+    event_spec = rest // 3
+
+    # Value code per event: a plain cell's global id; a percentage, N +
+    # the numerator's id (the denominator follows from it); a conditional,
+    # 2N + (numerator, denominator) ids. Equal codes share one division.
+    numerator = _np.asarray(subset_gid, dtype=_np.int64)[event_spec, event_sub]
+    codes = _np.where(event_kind == KIND_PLAIN, numerator, numerator + n_values)
+    is_cond = event_kind == KIND_CONDITIONAL
+    if is_cond.any():
+        denominator = _np.asarray(pair_gid, dtype=_np.int64)[
+            event_spec[is_cond], event_pair[is_cond]
+        ]
+        codes[is_cond] = 2 * n_values + numerator[is_cond] * n_values + denominator
+    distinct, first, code_inv = _np.unique(
+        codes, return_index=True, return_inverse=True
+    )
+    vids = _np.empty(len(distinct), dtype=_np.int32)
+    intern = results.table.intern
+    distinct_list = distinct.tolist()
+    for k in _np.argsort(first, kind="stable").tolist():
+        code = distinct_list[k]
+        if code < n_values:
+            value = values[code]
+        elif code < 2 * n_values:
+            code -= n_values
+            value = ratio_value(values[code], values[pct_den[code]])
         else:
-            in_spec = spec_ids == spec_local
-            sub_sel = sub_inv[in_spec]
-            kind_sel = kinds[in_spec]
-            pos_sel = positions[in_spec]
-            pair_all = cond_ids[in_spec]
-
-        # One cell lookup per distinct subset this spec touches.
-        needed = _np.unique(sub_sel)
-        cell_values: list[Value] = [None] * len(used)
-        for u in needed.tolist():
-            cell_values[u] = cells_get(keys[u], empty)
-
-        plain = kind_sel == KIND_PLAIN
-        all_plain = bool(plain.all())
-        if all_plain or plain.any():
-            # Intern only subsets that plain candidates actually use, so
-            # the carried ValueTable never accumulates unused values.
-            subset_list = (
-                needed if all_plain else _np.unique(sub_sel[plain])
-            ).tolist()
-            dense = _np.full(len(used), -1, dtype=_np.int32)
-            intern = table.intern
-            for u in subset_list:
-                dense[u] = intern(cell_values[u])
-            if all_plain:
-                value_ids[pos_sel] = dense[sub_sel]
-                continue
-            value_ids[pos_sel[plain]] = dense[sub_sel[plain]]
-
-        pct = kind_sel == KIND_PERCENTAGE
-        if pct.any():
-            denominator = cells_get(tuple(_all_key(dims)), empty)
-            subset_list = (
-                needed if bool(pct.all()) else _np.unique(sub_sel[pct])
-            ).tolist()
-            dense = _np.full(len(used), -1, dtype=_np.int32)
-            intern = table.intern
-            for u in subset_list:
-                dense[u] = intern(ratio_value(cell_values[u], denominator))
-            value_ids[pos_sel[pct]] = dense[sub_sel[pct]]
-
-        cond = kind_sel == KIND_CONDITIONAL
-        if cond.any():
-            pair_sel = pair_all[cond]
-            denominator_of: dict[int, Value] = {}
-            for p in _np.unique(pair_sel).tolist():
-                denominator_of[p] = cells_get(enc.cond_key(p, dims), empty)
-            # One division per distinct (subset, condition) combination.
-            radix = int(pair_sel.max()) + 1
-            combos = sub_sel[cond].astype(_np.int64) * radix + pair_sel
-            ucombo, combo_inv = _np.unique(combos, return_inverse=True)
-            combo_vids = _np.empty(len(ucombo), dtype=_np.int32)
-            intern = table.intern
-            for index, code in enumerate(ucombo.tolist()):
-                u, p = divmod(int(code), radix)
-                combo_vids[index] = intern(
-                    ratio_value(cell_values[u], denominator_of[p])
-                )
-            value_ids[pos_sel[cond]] = combo_vids[combo_inv]
+            num, den = divmod(code - 2 * n_values, n_values)
+            value = ratio_value(values[num], values[den])
+        vids[k] = intern(value)
+    results.value_ids[positions] = vids[code_inv][event_inv]
 
 
 def _answer_python(results, space, positions, dims, entries) -> None:

@@ -67,6 +67,8 @@ class SpaceEncoding:
     - ``subset_codes``: per predicate subset, one literal code per
       predicate column (0 = that column unrestricted) — the
       per-dimension literal-code vector a cube cell key maps onto;
+    - ``subset_colset_id`` / ``col_sets``: per subset, its set of
+      predicate columns;
     - ``tables_id`` / ``table_sets``: base-relation table set per
       candidate (empty set = the database's single table);
     - ``basis_spec_id`` / ``basis_specs``: the cube-computable aggregate
@@ -74,8 +76,12 @@ class SpaceEncoding:
     - ``fn_kind``: per function fragment, how candidate values derive from
       basis cells (:data:`~repro.db.gather.KIND_PLAIN` /
       ``KIND_PERCENTAGE`` / ``KIND_CONDITIONAL``);
-    - ``cond_pair_id`` / ``cond_pairs``: per candidate, the (column,
-      literal-code) pair of its condition predicate (-1 = no condition).
+    - ``cond_pair_id``: per candidate, the id of the (column,
+      literal-code) pair of its condition predicate (-1 = no condition),
+      whose parts are ``cond_pair_col`` / ``cond_pair_code``.
+
+    Built from flat (subset, predicate) arrays with fancy assignment;
+    per-fragment and per-column-set work runs once per distinct item.
     """
 
     __slots__ = (
@@ -83,56 +89,92 @@ class SpaceEncoding:
         "col_pos",
         "literals",
         "subset_codes",
-        "subset_col_sets",
+        "col_sets",
+        "subset_colset_id",
         "table_sets",
         "tables_id",
         "basis_specs",
         "basis_spec_id",
         "fn_kind",
-        "cond_pairs",
+        "cond_pair_col",
+        "cond_pair_code",
         "cond_pair_id",
+        "_literal_base",
+        "_flat_literals",
     )
 
     def __init__(self, space: "CandidateSpace") -> None:
-        subsets = space.subsets
-        self.pred_columns: list[ColumnRef] = sorted(
-            {fragment.column for subset in subsets for fragment in subset}
-        )
+        # Every (subset, predicate) pair as flat arrays into the distinct
+        # predicate fragments: per-fragment work below runs once per
+        # fragment, and the subset matrices fill by fancy assignment.
+        fragments, flat_subset, flat_fragment = space.predicate_arrays()
+        n_subsets = len(space.subsets)
+        columns = [fragment.column for fragment in fragments]
+        literals = [fragment.predicate.normalized_value for fragment in fragments]
+        self.pred_columns: list[ColumnRef] = sorted(set(columns))
         self.col_pos = {column: j for j, column in enumerate(self.pred_columns)}
         literal_sets: list[set[str]] = [set() for _ in self.pred_columns]
-        for subset in subsets:
-            for fragment in subset:
-                literal_sets[self.col_pos[fragment.column]].add(
-                    fragment.predicate.normalized_value
-                )
+        for column, literal in zip(columns, literals):
+            literal_sets[self.col_pos[column]].add(literal)
         self.literals = [sorted(values) for values in literal_sets]
         literal_code = [
             {literal: code + 1 for code, literal in enumerate(column_literals)}
             for column_literals in self.literals
         ]
+        fragment_col = np.array(
+            [self.col_pos[column] for column in columns], dtype=np.intp
+        )
+        fragment_code = np.array(
+            [
+                literal_code[j][literal]
+                for j, literal in zip(fragment_col.tolist(), literals)
+            ],
+            dtype=np.int32,
+        )
+        flat_col = fragment_col[flat_fragment]
+        flat_code = fragment_code[flat_fragment]
 
-        n_subsets = len(subsets)
         self.subset_codes = np.zeros(
             (n_subsets, len(self.pred_columns)), dtype=np.int32
         )
-        self.subset_col_sets: list[frozenset[ColumnRef]] = []
-        subset_tables: list[frozenset[str]] = []
-        for si, subset in enumerate(subsets):
-            self.subset_col_sets.append(
-                frozenset(fragment.column for fragment in subset)
-            )
-            subset_tables.append(
-                frozenset(
-                    fragment.column.table
-                    for fragment in subset
-                    if fragment.column.table
+        self.subset_codes[flat_subset, flat_col] = flat_code
+
+        # Literal code -> (column, literal) through one flat id space, for
+        # add_literals.
+        sizes = [len(column_literals) for column_literals in self.literals]
+        self._literal_base = np.cumsum([0] + sizes, dtype=np.int64)[:-1] - 1
+        self._flat_literals = [
+            (column, literal)
+            for column, column_literals in zip(self.pred_columns, self.literals)
+            for literal in column_literals
+        ]
+
+        # Predicate-column set per subset, derived once per distinct
+        # column-presence row; ids follow first appearance over subsets.
+        self.col_sets: list[frozenset[ColumnRef]] = []
+        self.subset_colset_id = np.zeros(n_subsets, dtype=np.int32)
+        if n_subsets:
+            presence = self.subset_codes != 0
+            if presence.shape[1]:
+                rows, first, inverse = np.unique(
+                    presence, axis=0, return_index=True, return_inverse=True
                 )
-            )
-            for fragment in subset:
-                j = self.col_pos[fragment.column]
-                self.subset_codes[si, j] = literal_code[j][
-                    fragment.predicate.normalized_value
-                ]
+                order = np.argsort(first, kind="stable")
+                rank = np.empty(len(order), dtype=np.int32)
+                rank[order] = np.arange(len(order), dtype=np.int32)
+                self.subset_colset_id = rank[inverse.reshape(-1)]
+            else:
+                rows, order = np.zeros((1, 0), dtype=bool), np.zeros(1, np.intp)
+            self.col_sets = [
+                frozenset(
+                    self.pred_columns[j] for j in np.flatnonzero(rows[k]).tolist()
+                )
+                for k in order.tolist()
+            ]
+        colset_tables = [
+            frozenset(column.table for column in col_set if column.table)
+            for col_set in self.col_sets
+        ]
 
         column_tables = [
             frozenset({fragment.column.table})
@@ -149,13 +191,14 @@ class SpaceEncoding:
         if len(space.fn_index):
             subset_variants: list[frozenset[str]] = []
             subset_variant_index: dict[frozenset[str], int] = {}
-            subset_tid = np.empty(max(n_subsets, 1), dtype=np.int64)
-            for si, tables in enumerate(subset_tables):
+            colset_tid = np.empty(max(len(colset_tables), 1), dtype=np.int64)
+            for ci, tables in enumerate(colset_tables):
                 tid = subset_variant_index.get(tables)
                 if tid is None:
                     tid = subset_variant_index[tables] = len(subset_variants)
                     subset_variants.append(tables)
-                subset_tid[si] = tid
+                colset_tid[ci] = tid
+            subset_tid = colset_tid[self.subset_colset_id]
             column_variants: list[frozenset[str]] = []
             column_variant_index: dict[frozenset[str], int] = {}
             column_tid = np.empty(len(column_tables), dtype=np.int64)
@@ -222,10 +265,11 @@ class SpaceEncoding:
             dtype=np.int8,
         )
 
-        # Condition (column, literal-code) pair per conditional candidate.
-        self.cond_pairs: list[tuple[int, int]] = []
-        pair_index: dict[tuple[int, int], int] = {}
+        # Condition (column, literal-code) pair per conditional candidate;
+        # pair ids follow first appearance over (subset, condition) order.
         self.cond_pair_id = np.full(len(space.fn_index), -1, dtype=np.int32)
+        self.cond_pair_col = np.zeros(0, dtype=np.intp)
+        self.cond_pair_code = np.zeros(0, dtype=np.int32)
         cond_positions = np.flatnonzero(space.cond_k >= 0)
         if len(cond_positions):
             radix = int(space.cond_k.max()) + 1
@@ -234,32 +278,46 @@ class SpaceEncoding:
                 + space.cond_k[cond_positions]
             )
             unique_codes, inverse = np.unique(codes, return_inverse=True)
-            ids = np.empty(len(unique_codes), dtype=np.int32)
-            for index, code in enumerate(unique_codes.tolist()):
-                si, k = divmod(int(code), radix)
-                predicate = subsets[si][k].predicate
-                j = self.col_pos[predicate.column]
-                pair = (j, literal_code[j][predicate.normalized_value])
-                pid = pair_index.get(pair)
-                if pid is None:
-                    pid = pair_index[pair] = len(self.cond_pairs)
-                    self.cond_pairs.append(pair)
-                ids[index] = pid
-            self.cond_pair_id[cond_positions] = ids[inverse]
+            offsets = np.concatenate(
+                ([0], np.cumsum(np.bincount(flat_subset, minlength=n_subsets)))
+            )
+            flat = offsets[unique_codes // radix] + unique_codes % radix
+            code_radix = int(flat_code.max()) + 1
+            pair_codes = flat_col[flat] * code_radix + flat_code[flat]
+            distinct, first, pair_of = np.unique(
+                pair_codes, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first, kind="stable")
+            rank = np.empty(len(order), dtype=np.int32)
+            rank[order] = np.arange(len(order), dtype=np.int32)
+            ordered = distinct[order]
+            self.cond_pair_col = (ordered // code_radix).astype(np.intp)
+            self.cond_pair_code = (ordered % code_radix).astype(np.int32)
+            self.cond_pair_id[cond_positions] = rank[pair_of][inverse]
 
     def cell_key(self, subset_id: int, dims: tuple[ColumnRef, ...]) -> tuple:
         """Cube cell key addressing ``subset_id``'s predicate combination."""
-        row = self.subset_codes[subset_id]
+        return self.cell_keys([subset_id], dims)[0]
+
+    def cell_keys(
+        self, subset_ids: np.ndarray, dims: tuple[ColumnRef, ...]
+    ) -> list[tuple]:
+        """:meth:`cell_key` of each of ``subset_ids``, one column at a time."""
         parts = []
         for dim in dims:
             j = self.col_pos.get(dim)
-            code = int(row[j]) if j is not None else 0
-            parts.append(self.literals[j][code - 1] if code else ALL)
-        return tuple(parts)
+            if j is None:
+                parts.append([ALL] * len(subset_ids))
+                continue
+            labels = [ALL] + self.literals[j]
+            codes = self.subset_codes[subset_ids, j].tolist()
+            parts.append([labels[code] for code in codes])
+        return list(zip(*parts)) if parts else [()] * len(subset_ids)
 
     def cond_key(self, pair_id: int, dims: tuple[ColumnRef, ...]) -> tuple:
         """Cube cell key restricting only the condition's column."""
-        j, code = self.cond_pairs[pair_id]
+        j = int(self.cond_pair_col[pair_id])
+        code = int(self.cond_pair_code[pair_id])
         column = self.pred_columns[j]
         literal = self.literals[j][code - 1]
         return tuple(literal if dim == column else ALL for dim in dims)
@@ -270,20 +328,19 @@ class SpaceEncoding:
         literal_union: dict[ColumnRef, set[str]],
     ) -> None:
         """Union the literals of the given subsets into ``literal_union``."""
-        for si in np.unique(subset_ids).tolist():
-            row = self.subset_codes[int(si)]
-            for j, code in enumerate(row.tolist()):
-                if code:
-                    literal_union.setdefault(self.pred_columns[j], set()).add(
-                        self.literals[j][code - 1]
-                    )
+        rows = self.subset_codes[np.unique(subset_ids)]
+        flat = np.unique((rows + self._literal_base)[rows > 0])
+        for index in flat.tolist():
+            column, literal = self._flat_literals[index]
+            literal_union.setdefault(column, set()).add(literal)
 
     def column_sets_used(
         self, subset_ids: np.ndarray
     ) -> set[frozenset[ColumnRef]]:
         """Distinct predicate-column sets among the given subsets."""
         return {
-            self.subset_col_sets[int(si)] for si in np.unique(subset_ids)
+            self.col_sets[c]
+            for c in np.unique(self.subset_colset_id[subset_ids]).tolist()
         }
 
 
@@ -326,37 +383,69 @@ class CandidateSpace:
     _encoding: SpaceEncoding | None = field(
         default=None, repr=False, compare=False
     )
+    #: lazily built flat (subset, predicate) arrays (see predicate_arrays)
+    _predicate_arrays: tuple | None = field(
+        default=None, repr=False, compare=False
+    )
     #: lazily built flat (subset, column) arrays for the prior term
     _prior_arrays: tuple | None = field(default=None, repr=False, compare=False)
     #: lazily built Θ slot arrays, cached per PriorLayout identity
     _prior_slots: tuple | None = field(default=None, repr=False, compare=False)
+
+    def predicate_arrays(self) -> tuple:
+        """Flat (subset, predicate) structure of the space (cached).
+
+        Returns ``(fragments, flat_subset, flat_fragment)``: the distinct
+        predicate fragment objects in first-use order, and one entry per
+        (subset, predicate) pair in subset-then-fragment order, where
+        ``flat_fragment[p]`` indexes into ``fragments``. Fragments are told
+        apart by identity (subsets share the retrieved fragment objects),
+        which spares hashing the frozen dataclasses.
+        """
+        if self._predicate_arrays is None:
+            fragments: list[PredicateFragment] = []
+            slot: dict[int, int] = {}
+            flat_subset: list[int] = []
+            flat_fragment: list[int] = []
+            for si, subset in enumerate(self.subsets):
+                for fragment in subset:
+                    k = slot.get(id(fragment))
+                    if k is None:
+                        k = slot[id(fragment)] = len(fragments)
+                        fragments.append(fragment)
+                    flat_subset.append(si)
+                    flat_fragment.append(k)
+            self._predicate_arrays = (
+                fragments,
+                np.asarray(flat_subset, dtype=np.intp),
+                np.asarray(flat_fragment, dtype=np.intp),
+            )
+        return self._predicate_arrays
 
     def prior_arrays(self) -> tuple:
         """Flat restriction structure for the Θ prior term (cached).
 
         Returns ``(columns, flat_subset, flat_column)``: one entry per
         (subset, predicate) pair, in subset-then-fragment order, where
-        ``flat_column[p]`` indexes into ``columns``. Lets
+        ``flat_column[p]`` indexes into ``columns`` (first-use order). Lets
         ``compute_distribution`` accumulate per-subset restriction
         log-odds with one ``np.add.at`` instead of nested Python sums.
         """
         if self._prior_arrays is None:
+            fragments, flat_subset, flat_fragment = self.predicate_arrays()
             columns: list[ColumnRef] = []
             column_pos: dict[ColumnRef, int] = {}
-            flat_subset: list[int] = []
-            flat_column: list[int] = []
-            for si, subset in enumerate(self.subsets):
-                for fragment in subset:
-                    j = column_pos.get(fragment.column)
-                    if j is None:
-                        j = column_pos[fragment.column] = len(columns)
-                        columns.append(fragment.column)
-                    flat_subset.append(si)
-                    flat_column.append(j)
+            fragment_column = np.empty(len(fragments), dtype=np.intp)
+            for k, fragment in enumerate(fragments):
+                j = column_pos.get(fragment.column)
+                if j is None:
+                    j = column_pos[fragment.column] = len(columns)
+                    columns.append(fragment.column)
+                fragment_column[k] = j
             self._prior_arrays = (
                 columns,
-                np.asarray(flat_subset, dtype=np.intp),
-                np.asarray(flat_column, dtype=np.intp),
+                flat_subset,
+                fragment_column[flat_fragment],
             )
         return self._prior_arrays
 
@@ -461,6 +550,20 @@ class CandidateSpace:
             }
         return self._positions
 
+    def _subset_of(self, predicates: frozenset, fragment_ids: dict, sizes):
+        """First subset whose predicates are exactly ``predicates``: the
+        one of that size all of whose fragments carry a wanted predicate."""
+        if any(predicate not in fragment_ids for predicate in predicates):
+            return None
+        _, flat_subset, flat_fragment = self.predicate_arrays()
+        wanted = [k for predicate in predicates for k in fragment_ids[predicate]]
+        hits = np.bincount(
+            flat_subset[np.isin(flat_fragment, wanted)],
+            minlength=len(self.subsets),
+        )
+        found = np.flatnonzero((hits == len(predicates)) & (sizes == len(predicates)))
+        return int(found[0]) if len(found) else None
+
     def position_of(self, query: SimpleAggregateQuery) -> int | None:
         """Position of ``query`` in the space (None if absent).
 
@@ -478,16 +581,16 @@ class CandidateSpace:
             col_pos: dict[ColumnRef, int] = {}
             for index, fragment in enumerate(self.columns):
                 col_pos.setdefault(fragment.column, index)
-            subset_pos: dict[frozenset, int] = {}
-            for index, subset in enumerate(self.subsets):
-                subset_pos.setdefault(
-                    frozenset(fragment.predicate for fragment in subset), index
-                )
-            self._locator = (fn_pos, col_pos, subset_pos)
-        fn_pos, col_pos, subset_pos = self._locator
+            fragments, flat_subset, _ = self.predicate_arrays()
+            fragment_ids: dict = {}
+            for k, fragment in enumerate(fragments):
+                fragment_ids.setdefault(fragment.predicate, []).append(k)
+            sizes = np.bincount(flat_subset, minlength=len(self.subsets))
+            self._locator = (fn_pos, col_pos, fragment_ids, sizes)
+        fn_pos, col_pos, fragment_ids, sizes = self._locator
         fi = fn_pos.get(query.aggregate.function)
         ci = col_pos.get(query.aggregate.column)
-        si = subset_pos.get(frozenset(query.all_predicates))
+        si = self._subset_of(frozenset(query.all_predicates), fragment_ids, sizes)
         if fi is None or ci is None or si is None:
             return None
         mask = (
@@ -574,15 +677,22 @@ def _predicate_subsets(
         fragment: math.log(max(scores.predicates[fragment], 1e-12) / total)
         for fragment in fragments
     }
+    # Combine fragment positions: column ids and shares are plain ints and
+    # floats, so the loop below hashes no fragment dataclasses.
+    column_id: dict[ColumnRef, int] = {}
+    columns = [
+        column_id.setdefault(fragment.column, len(column_id))
+        for fragment in fragments
+    ]
+    shares = [log_share[fragment] for fragment in fragments]
     subsets: list[tuple[PredicateFragment, ...]] = [()]
     subset_logs: list[float] = [0.0]
     for size in range(1, config.max_predicates + 1):
-        for combo in combinations(fragments, size):
-            columns = {fragment.column for fragment in combo}
-            if len(columns) != size:
+        for combo in combinations(range(len(fragments)), size):
+            if len({columns[i] for i in combo}) != size:
                 continue  # one restriction per column
-            subsets.append(combo)
-            subset_logs.append(sum(log_share[f] for f in combo))
+            subsets.append(tuple(fragments[i] for i in combo))
+            subset_logs.append(sum(shares[i] for i in combo))
     if len(subsets) > config.max_subsets:
         # Keep the empty set plus the highest-scoring subsets.
         order = sorted(

@@ -15,8 +15,11 @@ every :func:`compute_distribution` call. Two constructors feed it: the
 per-query oracle path (:meth:`EvaluationOutcome.from_results`, a result
 dict keyed by materialized queries) and the factorized default path
 (:meth:`EvaluationOutcome.from_value_ids`, compact value-id arrays from
-``QueryEngine.evaluate_space`` — ``rounds_to`` runs once per distinct
-value id instead of once per candidate).
+``QueryEngine.evaluate_space``). Both check each distinct value once,
+through one batched kernel (:func:`~repro.nlp.numbers.rounds_to_each`):
+an array pass rejects values that cannot round to the claim and only the
+rest reach the scalar ``rounds_to``, passed in as this module's name so
+that wrapping ``repro.model.probability.rounds_to`` sees every call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.db.query import SimpleAggregateQuery
 from repro.db.values import Value
 from repro.model.candidates import CandidateSpace
 from repro.model.priors import Priors
-from repro.nlp.numbers import rounds_to
+from repro.nlp.numbers import rounds_to, rounds_to_each
 
 _NEG_INF = float("-inf")
 
@@ -140,11 +143,7 @@ class EvaluationOutcome:
             value_ids.append(value_id)
 
         if positions:
-            distinct_matches = np.fromiter(
-                (rounds_to(value, claimed) for value in distinct),
-                dtype=bool,
-                count=len(distinct),
-            )
+            distinct_matches = rounds_to_each(distinct, claimed, rounds_to)
             index = np.asarray(positions, dtype=np.intp)
             evaluated[index] = True
             matches[index] = distinct_matches[
@@ -175,11 +174,8 @@ class EvaluationOutcome:
             evaluated = evaluated & np.asarray(scope_mask)
         matches = np.zeros(len(space), dtype=bool)
         if evaluated.any():
-            values = results.table.values
-            match_by_id = np.fromiter(
-                (rounds_to(value, claimed) for value in values),
-                dtype=bool,
-                count=len(values),
+            match_by_id = rounds_to_each(
+                results.table.values, claimed, rounds_to
             )
             matches[evaluated] = match_by_id[ids[evaluated]]
         return cls(

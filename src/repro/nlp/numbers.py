@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro._compat import np
 from repro.nlp.tokens import Token
 
 _UNITS = {
@@ -69,14 +71,6 @@ def extract_number_mentions(tokens: list[Token]) -> list[NumberMention]:
     return mentions
 
 
-#: Memo for :func:`rounds_to`: the check walks up to ``max_digits``
-#: roundings per call and is invoked once per distinct evaluation result
-#: per claim — results (counts, sums) and claimed values repeat heavily
-#: across claims, documents, and EM iterations of one database.
-_ROUNDS_MEMO: dict[tuple, bool] = {}
-_ROUNDS_MEMO_LIMIT = 1 << 17
-
-
 def rounds_to(result: float | int | None, claimed: float, max_digits: int = 12) -> bool:
     """True if ``result`` rounded to *some* number of significant digits
     equals ``claimed`` (the paper's admissible rounding)."""
@@ -86,26 +80,90 @@ def rounds_to(result: float | int | None, claimed: float, max_digits: int = 12) 
         return False
     if math.isnan(result) or math.isinf(result):
         return False
-    key = (result, claimed, max_digits)
-    cached = _ROUNDS_MEMO.get(key)
-    if cached is None:
-        if len(_ROUNDS_MEMO) >= _ROUNDS_MEMO_LIMIT:
-            _ROUNDS_MEMO.clear()
-        cached = _ROUNDS_MEMO[key] = _rounds_to_uncached(
-            result, claimed, max_digits
-        )
-    return cached
-
-
-def _rounds_to_uncached(
-    result: float | int, claimed: float, max_digits: int
-) -> bool:
     if _close(result, claimed):
         return True
+    if result == 0:
+        return False  # every rounding of zero is 0.0, compared just above
+    # round_to_significant(result, digits) for each digits, sharing one
+    # magnitude. Once a rounding reproduces ``result`` every finer one
+    # does too (it lies at least as close to it), so the walk stops.
+    magnitude = math.floor(math.log10(abs(result)))
     for digits in range(1, max_digits + 1):
-        if _close(round_to_significant(result, digits), claimed):
+        try:
+            rounded = round(result, int(digits - 1 - magnitude))
+        except OverflowError:
+            continue  # rounds past the float range: equals no finite claim
+        if rounded == result:
+            return False
+        if _close(rounded, claimed):
             return True
     return False
+
+
+#: Plain ints below this magnitude convert to float exactly.
+_EXACT_INT = 1 << 53
+#: Prefilter bound of :func:`rounds_to_each` (see there): rounding moves a
+#: value by at most ``0.5 * |v|``, ``isclose`` adds ``1.5e-9 * scale``.
+_PREFILTER_REL = 0.51
+_PREFILTER_ABS = 2e-9
+
+
+def rounds_to_each(values: Sequence, claimed: float, decide=None):
+    """``[decide(v, claimed) for v in values]`` as a bool array, where
+    ``decide`` defaults to :func:`rounds_to`.
+
+    One array pass first rejects the plain ``int``/``float`` values that
+    provably cannot round to ``claimed``; only the survivors reach the
+    scalar ``decide``, which stays the single decider. The bound: if
+    ``rounds_to(v, c)`` holds, either ``isclose(v, c)``, so
+    ``|v - c| <= 1e-9 * max(|v|, |c|, 1)``, or some rounding ``r`` of ``v``
+    to ``d >= 1`` significant digits is close to ``c``. ``r`` moves ``v``
+    by at most half a unit of its leading digit, ``0.5 * 10**m <= 0.5 *
+    |v|`` (``m = floor(log10|v|)``; a ``log10`` rounded up to the next
+    integer costs a relative 1e-13), so ``|r| <= 1.51 * |v|`` and
+    ``|v - c| <= 0.5 * |v| + 1.51e-9 * max(|v|, |c|, 1)``. The prefilter
+    keeps ``|v - c| <= 0.51 * |v| + 2e-9 * max(|v|, |c|, 1)``; its slack
+    dwarfs the float error of evaluating it. Values the array cannot hold
+    exactly (non-numbers, bools, NaN/inf, ``|int| >= 2**53``, subclasses)
+    and claims that are not plain finite numbers go to ``decide``
+    unfiltered. Without NumPy every value goes to ``decide``.
+    """
+    decide = rounds_to if decide is None else decide
+    n = len(values)
+    claim_plain = (
+        (type(claimed) is float and math.isfinite(claimed))
+        or (type(claimed) is int and -_EXACT_INT < claimed < _EXACT_INT)
+    )
+    if np is None or not claim_plain or n == 0:
+        matches = [bool(decide(value, claimed)) for value in values]
+        return np.array(matches, dtype=bool) if np is not None else matches
+    nan = math.nan
+    numbers = np.fromiter(
+        (
+            value
+            if type(value) is float
+            else float(value)
+            if type(value) is int and -_EXACT_INT < value < _EXACT_INT
+            else nan
+            for value in values
+        ),
+        dtype=np.float64,
+        count=n,
+    )
+    magnitude = np.abs(numbers)
+    scale = np.maximum(magnitude, max(abs(float(claimed)), 1.0))
+    with np.errstate(invalid="ignore"):
+        possible = (
+            np.abs(numbers - claimed)
+            <= _PREFILTER_REL * magnitude + _PREFILTER_ABS * scale
+        )
+    # NaN placeholders compare False above and infinities True: both
+    # reach ``decide``.
+    undecided = possible | ~np.isfinite(numbers)
+    matches = np.zeros(n, dtype=bool)
+    for index in np.flatnonzero(undecided).tolist():
+        matches[index] = decide(values[index], claimed)
+    return matches
 
 
 def round_to_significant(value: float, digits: int) -> float:

@@ -6,11 +6,17 @@ columnar/gather/CSR kernels run for real. The probabilistic model layer
 has no fallback (see ``repro._compat``), so tests that drive the full
 pipeline are skipped there — by path below, or via the ``needs_numpy``
 marker for individual tests.
+
+Also arms the suite-wide hang cap (``timeout`` in ``pytest.ini``) when
+the ``pytest-timeout`` plugin is absent: a stdlib ``faulthandler`` timer
+per test dumps every thread's stack and exits the run instead.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import os
+import sys
 
 import pytest
 
@@ -49,6 +55,46 @@ def pytest_configure(config):
         "faults: fault-injection / resilience test (CI runs this subset "
         "as its own job via -m faults)",
     )
+
+
+#: Hang cap in seconds when ``pytest.ini`` sets none.
+_DEFAULT_HANG_CAP_S = 300.0
+
+
+def _fallback_hang_cap(config) -> float | None:
+    """Seconds per test for the faulthandler cap, or None when the
+    ``pytest-timeout`` plugin enforces ``timeout`` itself."""
+    if config.pluginmanager.hasplugin("timeout"):
+        return None
+    raw = config.inicfg.get("timeout")
+    value = getattr(raw, "value", raw)  # pytest >= 8.4 wraps ini values
+    seconds = float(value) if value not in (None, "") else _DEFAULT_HANG_CAP_S
+    return seconds if seconds > 0 else None
+
+
+def _real_stderr(config):
+    """The terminal's stderr: under fd capture, fd 2 is a temp file that
+    the hard exit would discard along with the stack dump."""
+    capman = config.pluginmanager.getplugin("capturemanager")
+    capturing = getattr(capman, "_global_capturing", None)
+    saved = getattr(getattr(capturing, "err", None), "targetfd_save", None)
+    return saved if isinstance(saved, int) else sys.__stderr__
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Per-test hang cap (setup, call and teardown) without the plugin."""
+    seconds = _fallback_hang_cap(item.config)
+    if seconds is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(
+        seconds, exit=True, file=_real_stderr(item.config)
+    )
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_collection_modifyitems(config, items):

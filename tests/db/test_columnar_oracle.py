@@ -61,12 +61,28 @@ FACTS_SPECS = (
 )
 
 
-def assert_value_equal(expected, actual, context=""):
+def assert_value_equal(expected, actual, context="", typed=True):
+    """Equal values, and (``typed``) equal types: ``158535`` is not
+    ``158535.0``, which verdict payloads tell apart."""
     if expected is None:
         assert actual is None, f"{context}: row-wise None, columnar {actual!r}"
     else:
         assert actual is not None, f"{context}: row-wise {expected!r}, columnar None"
         assert actual == pytest.approx(expected), context
+        if typed:
+            assert type(actual) is type(expected), (
+                f"{context}: row-wise {expected!r}, columnar {actual!r}"
+            )
+
+
+def typed_across_paths(query) -> bool:
+    """Whether a per-query comparison may check types.
+
+    The row-wise oracle itself types Sum two ways: per query
+    (``compute_plain``) an all-int Sum is an int, from a cube it is a
+    float. Every other aggregate is typed alike on both paths.
+    """
+    return query.aggregate.function is not AggregateFunction.SUM
 
 
 def assert_cube_results_equal(row_result, col_result):
@@ -140,7 +156,7 @@ def test_simple_queries_match_rowwise_oracle(database, query):
     row_graph, col_graph = both_graphs(database)
     expected = execute_query(database, query, row_graph)
     actual = execute_query(database, query, col_graph)
-    assert_value_equal(expected, actual, str(query))
+    assert_value_equal(expected, actual, str(query), typed_across_paths(query))
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +170,9 @@ def test_joined_queries_match_rowwise_oracle(database, queries):
             queries
         )
         for query in set(queries):
-            assert_value_equal(row[query], col[query], f"{mode} {query}")
+            assert_value_equal(
+                row[query], col[query], f"{mode} {query}", typed_across_paths(query)
+            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,7 +192,9 @@ def test_engine_modes_match_across_backends(database, queries):
     engine.evaluate(queries)  # populate the cache
     cached = engine.evaluate(queries)  # answer from cached columnar cells
     for query in set(queries):
-        assert_value_equal(naive_row[query], cached[query], str(query))
+        assert_value_equal(
+            naive_row[query], cached[query], str(query), typed_across_paths(query)
+        )
 
 
 class TestJoinStructure:
@@ -254,7 +274,9 @@ class TestPurePythonFallback:
             col = QueryEngine(nfl_db, EngineConfig(mode=mode, backend=ExecutionBackend.COLUMNAR
             )).evaluate(queries)
             for query in queries:
-                assert_value_equal(row[query], col[query], f"{mode} {query}")
+                assert_value_equal(
+                    row[query], col[query], f"{mode} {query}", typed_across_paths(query)
+                )
 
     def test_fallback_join_matches_rowwise(self, no_numpy, star_db):
         sqls = [
@@ -268,7 +290,9 @@ class TestPurePythonFallback:
         col = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend=ExecutionBackend.COLUMNAR
         )).evaluate(queries)
         for query in queries:
-            assert_value_equal(row[query], col[query], str(query))
+            assert_value_equal(
+                row[query], col[query], str(query), typed_across_paths(query)
+            )
 
     def test_fallback_cube_matches_rowwise(self, no_numpy):
         from repro.db import Column, ColumnType, Database, Table
@@ -306,3 +330,42 @@ class TestPurePythonFallback:
             execute_cube(database, cube, row_graph),
             execute_cube(database, cube, col_graph),
         )
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_min_max_keep_int_type_of_integer_columns(vectorized, monkeypatch, nfl_db):
+    """Min/Max over an all-int column are ints on every columnar path
+    (they used to drift to floats: ``2014.0`` against the oracle's
+    ``2014``); a column holding a float stays float."""
+    if not vectorized:
+        monkeypatch.setattr(columnar, "_np", None)
+    sqls = [
+        "SELECT Min(Year) FROM nflsuspensions WHERE Games = '16'",
+        "SELECT Max(Year) FROM nflsuspensions",
+    ]
+    queries = [parse_query(sql, nfl_db) for sql in sqls]
+    for mode in ExecutionMode:
+        col = QueryEngine(
+            nfl_db, EngineConfig(mode=mode, backend=ExecutionBackend.COLUMNAR)
+        ).evaluate(queries)
+        assert [col[query] for query in queries] == [2007, 2014]
+        assert all(type(col[query]) is int for query in queries), mode
+
+    from repro.db import Column, ColumnType, Database, Table
+
+    mixed = Database(
+        "mixed",
+        [
+            Table(
+                "facts",
+                [Column("kind"), Column("amount", ColumnType.NUMERIC)],
+                [("a", 3), ("a", 2.5), ("b", 7)],
+            )
+        ],
+    )
+    query = parse_query("SELECT Max(amount) FROM facts", mixed)
+    for mode in ExecutionMode:
+        value = QueryEngine(
+            mixed, EngineConfig(mode=mode, backend=ExecutionBackend.COLUMNAR)
+        ).evaluate([query])[query]
+        assert value == 7.0 and type(value) is float, mode

@@ -240,6 +240,49 @@ class TestMultiClaimDocument:
             assert again[claim].evaluated.all()
 
 
+class TestMergedCacheEntry:
+    """A cache entry extended between two batches re-indexes its cells."""
+
+    def test_merge_between_batches_gathers_like_oracle(self, nfl_pipeline):
+        database, catalog, claims, _ = nfl_pipeline
+        games = sorted(
+            (f for f in catalog.predicates if f.column.column == "Games"),
+            key=lambda f: f.predicate.normalized_value,
+        )
+        assert len(games) >= 2
+
+        def scores(predicates):
+            return RelevanceScores(
+                {f: 1.0 for f in catalog.functions},
+                {f: 1.0 for f in catalog.columns},
+                {f: 1.0 for f in predicates},
+            )
+
+        first = build_candidates(claims[0], scores(games[:1]))
+        second = build_candidates(claims[1], scores(games[1:]))
+        engine = QueryEngine(database)
+        refine_by_eval_space({claims[0]: first}, None, engine)
+        before = {
+            key: (set(entry.literals.get(games[0].column, set())), entry._index)
+            for key, entry in engine.cache._entries.items()
+        }
+
+        spacey = refine_by_eval_space({claims[1]: second}, None, engine)
+        oracle = refine_by_eval({claims[1]: second}, None, QueryEngine(database))
+        assert_same_outcome(second, oracle[claims[1]], spacey[claims[1]])
+        merged = [
+            (entry, before[key][1])
+            for key, entry in engine.cache._entries.items()
+            if key in before
+            and entry.literals.get(games[0].column, set()) > before[key][0]
+        ]
+        # The second batch's new literals extended existing entries, and
+        # the gather rebuilt their (dropped) cell index.
+        assert merged
+        for entry, old_index in merged:
+            assert entry._index is not None and entry._index is not old_index
+
+
 class TestPythonFallback:
     """The pure-Python gather kernels must equal the NumPy kernels."""
 

@@ -10,6 +10,7 @@ from repro.nlp.numbers import (
     extract_number_mentions,
     round_to_significant,
     rounds_to,
+    rounds_to_each,
 )
 from repro.nlp.tokens import tokenize_with_punct
 
@@ -154,6 +155,91 @@ def test_rounding_is_admissible(value, digits):
     """Property: every significant-digit rounding of x is accepted for x."""
     rounded = round_to_significant(value, digits)
     assert rounds_to(value, rounded)
+
+
+#: Values where the batched rounding kernel's prefilter is tightest or
+#: must step aside: exact powers of ten, halfway values k.5 * 10**n,
+#: signed zeros, ints around 2**53, and everything that is not a plain
+#: finite number.
+_EDGE_VALUES = (
+    st.builds(
+        lambda n, sign, as_int: sign * (10**n if as_int and n >= 0 else 10.0**n),
+        st.integers(min_value=-8, max_value=15),
+        st.sampled_from([1, -1]),
+        st.booleans(),
+    )
+    | st.builds(
+        lambda k, n, sign: sign * (k + 0.5) * 10.0**n,
+        st.integers(min_value=0, max_value=99),
+        st.integers(min_value=-6, max_value=12),
+        st.sampled_from([1, -1]),
+    )
+    | st.sampled_from([0, 0.0, -0.0])
+    | st.builds(
+        lambda d, sign: sign * (2**53 + d),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([1, -1]),
+    )
+    | st.sampled_from(
+        [None, "4", True, False, float("nan"), float("inf"), float("-inf")]
+    )
+)
+_VALUES = st.lists(
+    _EDGE_VALUES
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(min_value=-1e7, max_value=1e7)
+    | st.integers(min_value=-(10**7), max_value=10**7),
+    max_size=30,
+)
+
+
+@st.composite
+def _values_and_claim(draw):
+    values = draw(_VALUES)
+    numeric = [
+        v for v in values
+        if isinstance(v, (int, float)) and not isinstance(v, bool)
+        and v == v and abs(v) != float("inf")
+    ]
+    claim = draw(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(min_value=-1e7, max_value=1e7)
+        | st.integers(min_value=-(10**7), max_value=10**7)
+        | _EDGE_VALUES.filter(lambda v: isinstance(v, (int, float)))
+    )
+    if numeric and draw(st.booleans()):
+        # A claim made by rounding one of the values itself: the kernel
+        # must keep it for the scalar check.
+        value = draw(st.sampled_from(numeric))
+        claim = round_to_significant(value, draw(st.integers(1, 12)))
+    return values, claim
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values_and_claim())
+def test_rounding_kernel_matches_scalar_check(values_and_claim):
+    """Property: the batched kernel is exactly the per-value check."""
+    values, claimed = values_and_claim
+    expected = [rounds_to(value, claimed) for value in values]
+    assert [bool(m) for m in rounds_to_each(values, claimed)] == expected
+
+
+@pytest.mark.needs_numpy  # without NumPy every value goes to the decider
+def test_rounding_kernel_sends_only_survivors_to_the_decider():
+    """Values far from the claim never reach the scalar check; values
+    that might round to it, and non-numbers, always do."""
+    seen = []
+
+    def decide(value, claimed):
+        seen.append(value)
+        return rounds_to(value, claimed)
+
+    values = [1, 13.64, 14, 1000.0, -14, None, float("nan"), 2**60]
+    matches = rounds_to_each(values, 14.0, decide)
+    assert [bool(m) for m in matches] == [rounds_to(v, 14.0) for v in values]
+    assert 1 not in seen and 1000.0 not in seen and -14 not in seen
+    assert {13.64, 14} <= set(seen)
+    assert None in seen and 2**60 in seen
 
 
 @settings(max_examples=100, deadline=None)
